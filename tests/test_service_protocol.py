@@ -67,6 +67,36 @@ def test_allowed_engine_ops_track_the_engine():
     assert "checkpoint" not in ops and "close" not in ops
 
 
+#: The exact engine surface remote tenants may call. A renamed, added or
+#: removed CamelCase ``Ringo`` method changes what the wire serves, so it
+#: must show up here as a deliberate edit.
+SERVED_ENGINE_OPS = frozenset({
+    "ApplyOps", "Crosstab", "Describe", "Distinct", "FindCycle", "Functions",
+    "GenConfigurationModel", "GenErdosRenyi", "GenPlantedPartition",
+    "GenPrefAttach", "GenRMat", "GetAlgebraicConnectivity",
+    "GetArticulationPoints", "GetBfsLevels", "GetBridges",
+    "GetClusteringCoefficients", "GetColoring", "GetCommunities",
+    "GetCoreNumbers", "GetDegreeCentrality", "GetDegreeDistribution",
+    "GetDiameter", "GetEdgeTable", "GetEffectiveDiameter", "GetEgonet",
+    "GetGirth", "GetHits", "GetKCore", "GetKTruss", "GetKatz",
+    "GetLinkPredictions", "GetMatching", "GetMaxFlow", "GetMinCut",
+    "GetNodeTable", "GetPageRank", "GetScc", "GetSnapshots",
+    "GetSpectralBisection", "GetSssp", "GetTriadCensus", "GetTriangleCounts",
+    "GetTriangles", "GetWcc", "GetWeightedPageRank", "GroupBy", "Intersect",
+    "IsBipartite", "Join", "Limit", "LoadTableBinary", "LoadTableTSV",
+    "Minus", "NextK", "NumFunctions", "OrderBy", "Project", "Quantiles",
+    "Rename", "Rewire", "Sample", "SaveTableBinary", "SaveTableTSV",
+    "Select", "SimJoin", "TableFromColumns", "TableFromHashMap", "TailWal",
+    "ToCoOccurrenceGraph", "ToGraph", "ToWeightedNetwork", "TopK", "Union",
+    "ValueCounts", "WithColumn",
+})
+
+
+def test_served_engine_surface_is_pinned():
+    assert len(SERVED_ENGINE_OPS) == 75
+    assert allowed_engine_ops() == SERVED_ENGINE_OPS
+
+
 def test_encode_result_table_and_graph_refs(tmp_path):
     # Durable, like every service-hosted session — derivations publish
     # to the catalog, so encoded results carry a $ref.
