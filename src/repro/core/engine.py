@@ -40,7 +40,6 @@ from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.snapshot import snapshot_cache as _default_snapshot_cache
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.engine import incremental_engine as _incremental_engine
-from repro.incremental.ingest import apply_graph_ops, validate_ops
 from repro.recovery import ops as _rops
 from repro.recovery.wal import SessionDurability
 from repro.memory.budget import (
@@ -84,6 +83,16 @@ def _timed(method):
                     ).observe(elapsed)
 
     return wrapper
+
+
+def _chunked_to_graph(session, table, src_col, dst_col, directed):
+    """ToGraph's degraded build for an over-budget conversion (forward
+    only: replay runs the op table's sort-first build)."""
+    for name in (src_col, dst_col):
+        table.schema.require(name)
+    return convert.chunked_build(
+        table.column(src_col), table.column(dst_col), directed=directed
+    )
 
 
 class Ringo:
@@ -297,23 +306,33 @@ class Ringo:
         self._publish(kind, obj)
         return name
 
-    def _prepare_inputs(self, *objs) -> None:
-        """Ensure inputs are catalogued *before* an in-place mutation runs
-        (adoption must snapshot the pre-mutation state)."""
-        if self._durability is not None:
-            for obj in objs:
-                self._require_ref(obj)
+    def _op(self, op: str, *inputs, run=None, observe=None, **args):
+        """Run one durable op from the op table: adopt/encode, run, commit.
 
-    def _commit(
-        self,
-        kind: str,
-        op: str,
-        obj,
-        args: "dict | None",
-        inputs: tuple = (),
-        always_publish: bool = False,
-        mutated: bool = False,
-    ):
+        The live call executes the same ``run`` that recovery and
+        replica replay execute (:mod:`repro.recovery.ops`). ``run``
+        substitutes a forward-only implementation (ToGraph's degraded
+        chunked build; the record still replays through the table);
+        ``observe(result, seconds)`` folds the run's wall time into a
+        rate metric when tracing is armed.
+        """
+        spec = _rops.OPS[op]
+        logged = None
+        if self._durability is not None:
+            # Adopt and encode *before* an in-place run mutates its input.
+            for obj in inputs:
+                self._require_ref(obj)
+            if spec.publish == _rops.IN_PLACE:
+                logged = spec.log_args(args, inputs, None)
+        start = time.perf_counter()
+        result = (run or spec.run)(self, *inputs, **args)
+        if observe is not None and obs.enabled():
+            observe(result, time.perf_counter() - start)
+        if self._durability is not None and logged is None:
+            logged = spec.log_args(args, inputs, result)
+        return self._commit(spec, result, logged, inputs, spec.mutates(args))
+
+    def _commit(self, spec, obj, args: "dict | None", inputs: tuple, mutated: bool):
         """Log a completed operation to the WAL, then publish its result.
 
         The WAL append (flushed + fsync'd) happens strictly before the
@@ -324,16 +343,16 @@ class Ringo:
         (loads, Join, ToGraph) publish, everything else passes through.
         """
         if self._durability is None:
-            if always_publish:
-                self._publish(kind, obj)
+            if spec.publish == _rops.ALWAYS:
+                self._publish(spec.kind, obj)
             return obj
         refs = [self._require_ref(value) for value in inputs]
         if mutated:
-            self._durability.wal.append(op, args or {}, refs, refs[0])
+            self._durability.wal.append(spec.name, args, refs, refs[0])
             return obj
-        name = f"{kind}-{self._publish_counter + 1}"
-        self._durability.wal.append(op, args or {}, refs, name)
-        self._publish(kind, obj)
+        name = f"{spec.kind}-{self._publish_counter + 1}"
+        self._durability.wal.append(spec.name, args, refs, name)
+        self._publish(spec.kind, obj)
         return obj
 
     def _snapshot(self, graph):
@@ -434,22 +453,11 @@ class Ringo:
     @_timed
     def LoadTableTSV(self, schema, path, **kwargs) -> Table:
         """Load a TSV file into a table (paper §4.1 listing, line 1)."""
-        start = time.perf_counter()
-        table = tables.load_table_tsv(schema, path, pool=self.pool, **kwargs)
-        if obs.enabled():
-            obs.observe_rate(
-                "io.tsv.rows", table.num_rows, time.perf_counter() - start
-            )
-        args = None
-        if self._durability is not None:
-            # Log the *resulting* schema so replay skips re-inference.
-            args = {
-                "schema": _rops.encode_schema(table.schema),
-                "path": os.fspath(path),
-                "kwargs": _rops.encode_value(kwargs),
-            }
-        return self._commit(
-            "table", "LoadTableTSV", table, args, always_publish=True
+        return self._op(
+            "LoadTableTSV", schema=schema, path=path, kwargs=kwargs,
+            observe=lambda table, seconds: obs.observe_rate(
+                "io.tsv.rows", table.num_rows, seconds
+            ),
         )
 
     def SaveTableTSV(self, table: Table, path, **kwargs) -> int:
@@ -458,28 +466,13 @@ class Ringo:
 
     def TableFromColumns(self, data, schema=None) -> Table:
         """Build a table from per-column data (session-pooled)."""
-        table = Table.from_columns(data, schema=schema, pool=self.pool)
-        args = None
-        if self._durability is not None:
-            # The input data has no durable provenance; snapshot the
-            # result inline so the WAL is self-contained.
-            args = {"payload": _rops.encode_table_payload(table)}
-        return self._commit("table", "TableFromColumns", table, args)
+        return self._op("TableFromColumns", data=data, schema=schema)
 
     def TableFromHashMap(self, mapping: Mapping, key_col: str, value_col: str) -> Table:
         """Result map → two-column table (paper §4.1 listing, last line)."""
-        table = convert.table_from_hashmap(mapping, key_col, value_col, pool=self.pool)
-        args = None
-        if self._durability is not None:
-            args = {
-                "items": [
-                    [_rops.encode_value(k), _rops.encode_value(v)]
-                    for k, v in mapping.items()
-                ],
-                "key_col": key_col,
-                "value_col": value_col,
-            }
-        return self._commit("table", "TableFromHashMap", table, args)
+        return self._op(
+            "TableFromHashMap", mapping=mapping, key_col=key_col, value_col=value_col
+        )
 
     # ------------------------------------------------------------------
     # Relational operations (§2.3)
@@ -487,18 +480,7 @@ class Ringo:
 
     def Select(self, table: Table, predicate, in_place: bool = False) -> Table:
         """Filter rows by predicate string/mask (``'Tag=Java'``)."""
-        args = None
-        if self._durability is not None:
-            # Adopt + encode against the table *before* it mutates.
-            self._prepare_inputs(table)
-            args = {
-                "predicate": _rops.encode_predicate(predicate, table),
-                "in_place": bool(in_place),
-            }
-        result = tables.select(table, predicate, in_place=in_place)
-        return self._commit(
-            "table", "Select", result, args, (table,), mutated=bool(in_place)
-        )
+        return self._op("Select", table, predicate=predicate, in_place=bool(in_place))
 
     @_timed
     def Join(self, left: Table, right: Table, left_col, right_col=None, **kwargs) -> Table:
@@ -515,130 +497,76 @@ class Ringo:
             # A join has no chunked strategy, so a "degrade" budget only
             # records the admission; strict budgets refuse outright.
             self.budget.admit("Join", estimated)
-        joined = tables.join(left, right, left_col, right_col, **kwargs)
-        args = None
-        if self._durability is not None:
-            args = {
-                "left_on": _rops.encode_value(left_col),
-                "right_on": _rops.encode_value(right_col),
-                "kwargs": _rops.encode_value(kwargs),
-            }
-        return self._commit(
-            "table", "Join", joined, args, (left, right), always_publish=True
+        return self._op(
+            "Join", left, right, left_on=left_col, right_on=right_col, kwargs=kwargs
         )
 
     def Project(self, table: Table, columns: Sequence[str]) -> Table:
         """Keep only the named columns."""
-        result = tables.project(table, columns)
-        return self._commit(
-            "table", "Project", result, {"columns": list(columns)}, (table,)
-        )
+        return self._op("Project", table, columns=list(columns))
 
     def Rename(self, table: Table, mapping: Mapping[str, str]) -> Table:
         """Rename columns (new table, shared data)."""
-        result = tables.rename(table, mapping)
-        return self._commit(
-            "table", "Rename", result, {"mapping": dict(mapping)}, (table,)
-        )
+        return self._op("Rename", table, mapping=dict(mapping))
 
     def GroupBy(self, table: Table, keys, aggregations=None) -> Table:
         """Group & aggregate."""
-        result = tables.group_by(table, keys, aggregations)
-        args = None
-        if self._durability is not None:
-            args = {
-                "keys": _rops.encode_value(keys),
-                "aggregations": None
-                if aggregations is None
-                else {
-                    out: [spec[0], spec[1]] for out, spec in aggregations.items()
-                },
-            }
-        return self._commit("table", "GroupBy", result, args, (table,))
+        return self._op("GroupBy", table, keys=keys, aggregations=aggregations)
 
     def OrderBy(self, table: Table, keys, ascending: bool = True, in_place: bool = False) -> Table:
         """Sort rows."""
-        self._prepare_inputs(table)
-        result = tables.order_by(table, keys, ascending=ascending, in_place=in_place)
-        args = {
-            "keys": _rops.encode_value(keys),
-            "ascending": bool(ascending),
-            "in_place": bool(in_place),
-        }
-        return self._commit(
-            "table", "OrderBy", result, args, (table,), mutated=bool(in_place)
+        return self._op(
+            "OrderBy", table, keys=keys, ascending=bool(ascending), in_place=bool(in_place)
         )
 
     def Union(self, left: Table, right: Table, distinct: bool = True) -> Table:
         """Set union (UNION ALL with ``distinct=False``)."""
-        result = tables.union(left, right, distinct=distinct)
-        return self._commit(
-            "table", "Union", result, {"distinct": bool(distinct)}, (left, right)
-        )
+        return self._op("Union", left, right, distinct=bool(distinct))
 
     def Intersect(self, left: Table, right: Table) -> Table:
         """Set intersection."""
-        result = tables.intersect(left, right)
-        return self._commit("table", "Intersect", result, None, (left, right))
+        return self._op("Intersect", left, right)
 
     def Minus(self, left: Table, right: Table) -> Table:
         """Set difference."""
-        result = tables.minus(left, right)
-        return self._commit("table", "Minus", result, None, (left, right))
+        return self._op("Minus", left, right)
 
     def SimJoin(self, left: Table, right: Table, on, threshold: float, **kwargs) -> Table:
         """Similarity join: rows whose key distance is below threshold."""
-        result = tables.sim_join(left, right, on, threshold, **kwargs)
-        args = None
-        if self._durability is not None:
-            args = {
-                "on": _rops.encode_value(on),
-                "threshold": float(threshold),
-                "kwargs": _rops.encode_value(kwargs),
-            }
-        return self._commit("table", "SimJoin", result, args, (left, right))
+        return self._op(
+            "SimJoin", left, right, on=on, threshold=float(threshold), kwargs=kwargs
+        )
 
     def NextK(self, table: Table, order_col: str, k: int, group_col: str | None = None) -> Table:
         """Temporal predecessor/successor join."""
-        result = tables.next_k(table, order_col, k, group_col=group_col)
-        args = {"order_col": order_col, "k": int(k), "group_col": group_col}
-        return self._commit("table", "NextK", result, args, (table,))
+        return self._op("NextK", table, order_col=order_col, k=int(k), group_col=group_col)
 
     def Distinct(self, table: Table, columns: Sequence[str] | None = None) -> Table:
         """Unique rows (first occurrence kept)."""
-        result = tables.distinct(table, columns)
-        args = {"columns": None if columns is None else list(columns)}
-        return self._commit("table", "Distinct", result, args, (table,))
+        columns = None if columns is None else list(columns)
+        return self._op("Distinct", table, columns=columns)
 
     def Limit(self, table: Table, count: int) -> Table:
         """The first ``count`` rows."""
-        result = tables.limit(table, count)
-        return self._commit("table", "Limit", result, {"count": int(count)}, (table,))
+        return self._op("Limit", table, count=int(count))
 
     def TopK(self, table: Table, column: str, k: int, ascending: bool = False) -> Table:
         """The ``k`` extreme rows by one column."""
-        result = tables.top_k(table, column, k, ascending=ascending)
-        args = {"column": column, "k": int(k), "ascending": bool(ascending)}
-        return self._commit("table", "TopK", result, args, (table,))
+        return self._op("TopK", table, column=column, k=int(k), ascending=bool(ascending))
 
     def ValueCounts(self, table: Table, column: str) -> Table:
         """Distinct values with occurrence counts, descending."""
-        result = tables.value_counts(table, column)
-        return self._commit(
-            "table", "ValueCounts", result, {"column": column}, (table,)
-        )
+        return self._op("ValueCounts", table, column=column)
 
     def WithColumn(self, table: Table, name: str, expression: str, as_int: bool = False) -> Table:
         """Append a computed column from an arithmetic expression."""
-        result = tables.with_column(table, name, expression, as_int=as_int)
-        args = {"name": name, "expression": expression, "as_int": bool(as_int)}
-        return self._commit("table", "WithColumn", result, args, (table,))
+        return self._op(
+            "WithColumn", table, name=name, expression=expression, as_int=bool(as_int)
+        )
 
     def Sample(self, table: Table, count: int, seed: int = 0) -> Table:
         """A uniform random row sample."""
-        result = tables.sample_rows(table, count, seed=seed)
-        args = {"count": int(count), "seed": int(seed)}
-        return self._commit("table", "Sample", result, args, (table,))
+        return self._op("Sample", table, count=int(count), seed=int(seed))
 
     # ------------------------------------------------------------------
     # Conversions (§2.4)
@@ -655,36 +583,23 @@ class Ringo:
         dynamic build. The graph is built privately and published to the
         session catalog only on success.
         """
-        start = time.perf_counter()
-        args = {"src_col": src_col, "dst_col": dst_col, "directed": bool(directed)}
+        run = None
         if self.budget is not None:
             estimated = estimate_graph_build_bytes(table.num_rows, directed=directed)
             if self.budget.admit("ToGraph", estimated) == ADMIT_DEGRADE:
-                for name in (src_col, dst_col):
-                    table.schema.require(name)
-                graph = convert.chunked_build(
-                    table.column(src_col), table.column(dst_col), directed=directed
-                )
-                self._record_conversion_rates(table.num_rows, graph, start)
-                return self._commit(
-                    "graph", "ToGraph", graph, args, (table,), always_publish=True
-                )
-        graph = convert.to_graph(
-            table, src_col, dst_col, directed=directed, pool=self.workers
-        )
-        self._record_conversion_rates(table.num_rows, graph, start)
-        return self._commit(
-            "graph", "ToGraph", graph, args, (table,), always_publish=True
+                run = _chunked_to_graph
+        return self._op(
+            "ToGraph", table, src_col=src_col, dst_col=dst_col, directed=bool(directed),
+            run=run, observe=lambda graph, seconds: self._record_conversion_rates(
+                table.num_rows, graph, seconds
+            ),
         )
 
-    def _record_conversion_rates(self, rows: int, graph, start: float) -> None:
+    def _record_conversion_rates(self, rows: int, graph, seconds: float) -> None:
         """Fold one ToGraph's throughput into the paper-styled rate
-        metrics (rows/s in, edges/s out) when tracing is armed."""
-        if not obs.enabled():
-            return
-        elapsed = time.perf_counter() - start
-        obs.observe_rate("engine.tograph.rows", rows, elapsed)
-        obs.observe_rate("engine.tograph.edges", graph.num_edges, elapsed)
+        metrics (rows/s in, edges/s out)."""
+        obs.observe_rate("engine.tograph.rows", rows, seconds)
+        obs.observe_rate("engine.tograph.edges", graph.num_edges, seconds)
 
     @_timed
     def ToWeightedNetwork(
@@ -712,19 +627,7 @@ class Ringo:
         Returns the ingest summary (``applied`` / ``skipped`` /
         ``version`` / ``nodes`` / ``edges``).
         """
-        args = None
-        if self._durability is not None:
-            # Adopt the graph *before* it mutates; normalise the ops so
-            # the WAL record replays byte-identically.
-            self._prepare_inputs(graph)
-            args = {"ops": [list(op) for op in validate_ops(ops)]}
-        summary = apply_graph_ops(graph, ops)
-        self._commit("graph", "ApplyOps", graph, args, (graph,), mutated=True)
-        return summary
-
-    def apply_ops(self, graph, ops) -> dict:
-        """Lowercase alias for :meth:`ApplyOps` (streaming-style surface)."""
-        return self.ApplyOps(graph, ops)
+        return self._op("ApplyOps", graph, ops=ops)
 
     @_timed
     def TailWal(
@@ -807,15 +710,6 @@ class Ringo:
             "error": error,
         }
 
-    def tail_wal(
-        self,
-        directory,
-        cursor: int = 0,
-        retry_policy: "RetryPolicy | None" = None,
-    ) -> dict:
-        """Lowercase alias for :meth:`TailWal` (streaming-style surface)."""
-        return self.TailWal(directory, cursor=cursor, retry_policy=retry_policy)
-
     @_timed
     def GetKTruss(self, graph, k: int):
         """The k-truss subgraph (edges with >= k-2 triangle supports)."""
@@ -825,24 +719,17 @@ class Ringo:
     @_timed
     def GetEdgeTable(self, graph) -> Table:
         """Graph → edge table (partitioned parallel writer)."""
-        start = time.perf_counter()
-        table = convert.to_edge_table(graph, pool=self.workers, string_pool=self.pool)
-        if obs.enabled():
-            obs.observe_rate(
-                "engine.edge_export.edges", table.num_rows,
-                time.perf_counter() - start,
-            )
-        return self._commit("table", "GetEdgeTable", table, None, (graph,))
+        return self._op(
+            "GetEdgeTable", graph,
+            observe=lambda table, seconds: obs.observe_rate(
+                "engine.edge_export.edges", table.num_rows, seconds
+            ),
+        )
 
     @_timed
     def GetNodeTable(self, graph, include_degrees: bool = False) -> Table:
         """Graph → node table, optionally with degree columns."""
-        table = convert.to_node_table(
-            graph, include_degrees=include_degrees,
-            pool=self.workers, string_pool=self.pool,
-        )
-        args = {"include_degrees": bool(include_degrees)}
-        return self._commit("table", "GetNodeTable", table, args, (graph,))
+        return self._op("GetNodeTable", graph, include_degrees=bool(include_degrees))
 
     # ------------------------------------------------------------------
     # Graph analytics (§2.2's algorithm surface, paper-named)
@@ -946,44 +833,35 @@ class Ringo:
 
     def GenRMat(self, scale: int, num_edges: int, seed: int = 0, directed: bool = True):
         """R-MAT synthetic graph."""
-        graph = alg.rmat(scale, num_edges, seed=seed, directed=directed)
-        args = {
-            "scale": int(scale), "num_edges": int(num_edges),
-            "seed": int(seed), "directed": bool(directed),
-        }
-        return self._commit("graph", "GenRMat", graph, args)
+        return self._op(
+            "GenRMat", scale=int(scale), num_edges=int(num_edges),
+            seed=int(seed), directed=bool(directed),
+        )
 
     def GenPrefAttach(self, num_nodes: int, edges_per_node: int, seed: int = 0):
         """Barabási–Albert synthetic graph."""
-        graph = alg.barabasi_albert(num_nodes, edges_per_node, seed=seed)
-        args = {
-            "num_nodes": int(num_nodes),
-            "edges_per_node": int(edges_per_node),
-            "seed": int(seed),
-        }
-        return self._commit("graph", "GenPrefAttach", graph, args)
+        return self._op(
+            "GenPrefAttach", num_nodes=int(num_nodes),
+            edges_per_node=int(edges_per_node), seed=int(seed),
+        )
 
     def GenErdosRenyi(self, num_nodes: int, num_edges: int, directed: bool = False, seed: int = 0):
         """G(n, m) synthetic graph."""
-        graph = alg.erdos_renyi_gnm(num_nodes, num_edges, directed=directed, seed=seed)
-        args = {
-            "num_nodes": int(num_nodes), "num_edges": int(num_edges),
-            "directed": bool(directed), "seed": int(seed),
-        }
-        return self._commit("graph", "GenErdosRenyi", graph, args)
+        return self._op(
+            "GenErdosRenyi", num_nodes=int(num_nodes), num_edges=int(num_edges),
+            directed=bool(directed), seed=int(seed),
+        )
 
     def GenPlantedPartition(
         self, num_communities: int, community_size: int,
         p_in: float, p_out: float, seed: int = 0,
     ):
         """Planted-partition synthetic graph (community-detection testbed)."""
-        graph = alg.planted_partition(num_communities, community_size, p_in, p_out, seed=seed)
-        args = {
-            "num_communities": int(num_communities),
-            "community_size": int(community_size),
-            "p_in": float(p_in), "p_out": float(p_out), "seed": int(seed),
-        }
-        return self._commit("graph", "GenPlantedPartition", graph, args)
+        return self._op(
+            "GenPlantedPartition", num_communities=int(num_communities),
+            community_size=int(community_size), p_in=float(p_in),
+            p_out=float(p_out), seed=int(seed),
+        )
 
     @_timed
     def GetKatz(self, graph, **kwargs) -> dict[int, float]:
@@ -1119,16 +997,14 @@ class Ringo:
 
     def GenConfigurationModel(self, degrees, seed: int = 0):
         """Random graph approximating a degree sequence."""
-        degrees = [int(d) for d in degrees]
-        graph = alg.configuration_model(degrees, seed=seed)
-        args = {"degrees": degrees, "seed": int(seed)}
-        return self._commit("graph", "GenConfigurationModel", graph, args)
+        return self._op(
+            "GenConfigurationModel", degrees=[int(d) for d in degrees], seed=int(seed)
+        )
 
     def Rewire(self, graph, swaps: int | None = None, seed: int = 0):
         """Degree-preserving double-edge-swap null model."""
-        result = alg.rewire(graph, swaps=swaps, seed=seed)
-        args = {"swaps": None if swaps is None else int(swaps), "seed": int(seed)}
-        return self._commit("graph", "Rewire", result, args, (graph,))
+        swaps = None if swaps is None else int(swaps)
+        return self._op("Rewire", graph, swaps=swaps, seed=int(seed))
 
     def SaveTableBinary(self, table: Table, path) -> None:
         """Snapshot a table to a binary .npz archive."""
@@ -1136,11 +1012,7 @@ class Ringo:
 
     def LoadTableBinary(self, path) -> Table:
         """Load a binary table snapshot (session-pooled)."""
-        table = tables.load_table_npz(path, pool=self.pool)
-        args = {"path": os.fspath(path)}
-        return self._commit(
-            "table", "LoadTableBinary", table, args, always_publish=True
-        )
+        return self._op("LoadTableBinary", path=os.fspath(path))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -16,8 +16,8 @@ that gap with three cooperating layers:
   ``incremental.*`` counters surfaced in ``Ringo.health()``, and the
   per-graph warm algorithm states behind dynamic PageRank / WCC /
   triangle counting;
-* :mod:`repro.incremental.ingest` — the ``Ringo.apply_ops()`` /
-  ``tail_wal()`` ingestion path that folds recovery's LSN-ordered op
+* :mod:`repro.incremental.ingest` — the ``Ringo.ApplyOps()`` /
+  ``TailWal()`` ingestion path that folds recovery's LSN-ordered op
   stream into live graphs, making crash replay and streaming ingestion
   the same code path.
 

@@ -39,7 +39,7 @@ from repro.recovery.digest import (
     object_digest,
     table_digest,
 )
-from repro.recovery.ops import REPLAY, replay_record
+from repro.recovery.ops import replay_record
 from repro.recovery.recover import recover_session
 from repro.recovery.wal import (
     SessionDurability,
@@ -51,7 +51,6 @@ from repro.recovery.wal import (
 )
 
 __all__ = [
-    "REPLAY",
     "SessionDurability",
     "WAL_FILENAME",
     "WalRecord",

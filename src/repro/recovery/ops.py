@@ -1,14 +1,16 @@
-"""Replayable-operation registry: encoding and re-execution of WAL records.
+"""The durable-op table: every catalog-producing operation, declared once.
 
-Every durable (catalog-mutating) session operation has one entry here:
-the engine encodes its arguments into JSON-safe form before appending
-the WAL record, and recovery replays the record by dispatching to the
-matching ``_replay_*`` function with the already-resolved input
-objects. Replay calls the same underlying operator implementations the
-engine methods call (``repro.tables``, ``repro.convert``,
-``repro.algorithms``), so a replayed catalog is bit-identical to the
-original — including persistent row ids, which every producing
-operator assigns deterministically, and seeded generator output.
+Each durable (catalog-mutating) session operation has one
+:class:`OpSpec` in :data:`OPS`. Its ``run`` is the one function both
+paths execute: the live ``Ringo`` method calls it and logs its keyword
+arguments to the WAL, and recovery and replica replay call it again
+with the logged arguments (:func:`replay_record`). With no second copy
+to drift, a replayed catalog is bit-identical to the original —
+including persistent row ids, which every producing operator assigns
+deterministically, and seeded generator output. Only an op whose logged
+form differs from its call carries its own ``encode``/``decode``.
+``run`` looks its implementation up at call time (``tables.select``),
+so patched module attributes see live and replayed calls alike.
 
 Two pseudo-ops carry *inline* state rather than a derivation:
 ``__adopt_table__`` / ``__adopt_graph__`` snapshot an input object that
@@ -18,11 +20,17 @@ passed in from user code), making the log self-contained.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from repro import algorithms as alg
 from repro import convert, tables
 from repro.exceptions import RecoveryError, ReplayError
+from repro.incremental import ingest
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
 
@@ -41,7 +49,7 @@ def encode_value(value):
         return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): encode_value(v) for k, v in value.items()}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -57,7 +65,8 @@ def decode_value(value):
             return np.asarray(value["__ndarray__"], dtype=np.dtype(value["dtype"]))
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [decode_value(v) for v in value]
+        # Inline scalars as-is: long id and payload lists stay cheap.
+        return [decode_value(v) if isinstance(v, (dict, list)) else v for v in value]
     return value
 
 
@@ -75,29 +84,6 @@ def decode_schema(encoded) -> "Schema | None":
     if encoded is None:
         return None
     return Schema([(name, ColumnType.parse(type_name)) for name, type_name in encoded])
-
-
-def encode_predicate(predicate, table) -> dict:
-    """Encode a Select predicate for faithful replay.
-
-    Predicate strings are logged as-is (readable provenance). Any other
-    predicate form — a boolean mask or a pre-built ``Predicate`` — is
-    materialised against the input table *before* the operation runs
-    and logged as an explicit mask, which replays identically.
-    """
-    if isinstance(predicate, str):
-        return {"expr": predicate}
-    from repro.tables.expressions import as_predicate
-
-    mask = as_predicate(predicate).mask(table)
-    return {"mask": np.asarray(mask, dtype=bool).tolist()}
-
-
-def decode_predicate(encoded: dict):
-    """Invert :func:`encode_predicate`."""
-    if "expr" in encoded:
-        return encoded["expr"]
-    return np.asarray(encoded["mask"], dtype=bool)
 
 
 def encode_table_payload(table: Table) -> dict:
@@ -150,275 +136,193 @@ def decode_graph_payload(payload: dict, pool):
     return graph
 
 
+
+
 # ----------------------------------------------------------------------
-# Replay dispatch
+# The op table
 # ----------------------------------------------------------------------
 
-
-def _one(inputs, lsn, op):
-    if len(inputs) < 1:
-        raise ReplayError(lsn, op, "record names no input object")
-    return inputs[0]
-
-
-def _two(inputs, lsn, op):
-    if len(inputs) < 2:
-        raise ReplayError(lsn, op, "record names fewer than two input objects")
-    return inputs[0], inputs[1]
-
-
-def _replay_load_table_tsv(session, args, inputs, lsn):
-    """Re-run ``LoadTableTSV`` from its source path."""
-    return tables.load_table_tsv(
-        decode_schema(args["schema"]), args["path"], pool=session.pool,
-        **decode_value(args.get("kwargs") or {}),
-    )
-
-
-def _replay_load_table_npz(session, args, inputs, lsn):
-    """Re-run ``LoadTableBinary`` from its source path."""
-    return tables.load_table_npz(args["path"], pool=session.pool)
-
-
-def _replay_table_from_columns(session, args, inputs, lsn):
-    """Rebuild a ``TableFromColumns`` result from its inline payload."""
-    return decode_table_payload(args["payload"], session.pool)
-
-
-def _replay_table_from_hashmap(session, args, inputs, lsn):
-    """Rebuild a ``TableFromHashMap`` result from its inline items."""
-    mapping = {decode_value(k): decode_value(v) for k, v in args["items"]}
-    return convert.table_from_hashmap(
-        mapping, args["key_col"], args["value_col"], pool=session.pool
-    )
-
-
-def _replay_select(session, args, inputs, lsn):
-    """Re-apply a Select (functional or in-place)."""
-    return tables.select(
-        _one(inputs, lsn, "Select"),
-        decode_predicate(args["predicate"]),
-        in_place=args["in_place"],
-    )
-
-
-def _replay_join(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Join")
-    return tables.join(
-        left, right, args["left_on"], args["right_on"],
-        **decode_value(args.get("kwargs") or {}),
-    )
-
-
-def _replay_project(session, args, inputs, lsn):
-    return tables.project(_one(inputs, lsn, "Project"), args["columns"])
-
-
-def _replay_rename(session, args, inputs, lsn):
-    return tables.rename(_one(inputs, lsn, "Rename"), args["mapping"])
-
-
-def _replay_group_by(session, args, inputs, lsn):
-    aggregations = args["aggregations"]
-    if aggregations is not None:
-        aggregations = {out: tuple(spec) for out, spec in aggregations.items()}
-    return tables.group_by(_one(inputs, lsn, "GroupBy"), args["keys"], aggregations)
-
-
-def _replay_order_by(session, args, inputs, lsn):
-    return tables.order_by(
-        _one(inputs, lsn, "OrderBy"), args["keys"],
-        ascending=args["ascending"], in_place=args["in_place"],
-    )
-
-
-def _replay_union(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Union")
-    return tables.union(left, right, distinct=args["distinct"])
-
-
-def _replay_intersect(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Intersect")
-    return tables.intersect(left, right)
-
-
-def _replay_minus(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Minus")
-    return tables.minus(left, right)
-
-
-def _replay_sim_join(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "SimJoin")
-    return tables.sim_join(
-        left, right, args["on"], args["threshold"],
-        **decode_value(args.get("kwargs") or {}),
-    )
-
-
-def _replay_next_k(session, args, inputs, lsn):
-    return tables.next_k(
-        _one(inputs, lsn, "NextK"), args["order_col"], args["k"],
-        group_col=args["group_col"],
-    )
-
-
-def _replay_distinct(session, args, inputs, lsn):
-    return tables.distinct(_one(inputs, lsn, "Distinct"), args["columns"])
-
-
-def _replay_limit(session, args, inputs, lsn):
-    return tables.limit(_one(inputs, lsn, "Limit"), args["count"])
-
-
-def _replay_top_k(session, args, inputs, lsn):
-    return tables.top_k(
-        _one(inputs, lsn, "TopK"), args["column"], args["k"],
-        ascending=args["ascending"],
-    )
-
-
-def _replay_value_counts(session, args, inputs, lsn):
-    return tables.value_counts(_one(inputs, lsn, "ValueCounts"), args["column"])
-
-
-def _replay_with_column(session, args, inputs, lsn):
-    return tables.with_column(
-        _one(inputs, lsn, "WithColumn"), args["name"], args["expression"],
-        as_int=args["as_int"],
-    )
-
-
-def _replay_sample(session, args, inputs, lsn):
-    return tables.sample_rows(
-        _one(inputs, lsn, "Sample"), args["count"], seed=args["seed"]
-    )
-
-
-def _replay_to_graph(session, args, inputs, lsn):
-    """Rebuild a graph from its source edge table (sort-first path)."""
-    return convert.to_graph(
-        _one(inputs, lsn, "ToGraph"), args["src_col"], args["dst_col"],
-        directed=args["directed"], pool=session.workers,
-    )
-
-
-def _replay_edge_table(session, args, inputs, lsn):
-    return convert.to_edge_table(
-        _one(inputs, lsn, "GetEdgeTable"),
-        pool=session.workers, string_pool=session.pool,
-    )
-
-
-def _replay_node_table(session, args, inputs, lsn):
-    return convert.to_node_table(
-        _one(inputs, lsn, "GetNodeTable"),
-        include_degrees=args["include_degrees"],
-        pool=session.workers, string_pool=session.pool,
-    )
-
-
-def _replay_gen_rmat(session, args, inputs, lsn):
-    return alg.rmat(
-        args["scale"], args["num_edges"], seed=args["seed"],
-        directed=args["directed"],
-    )
-
-
-def _replay_gen_pref_attach(session, args, inputs, lsn):
-    return alg.barabasi_albert(
-        args["num_nodes"], args["edges_per_node"], seed=args["seed"]
-    )
-
-
-def _replay_gen_erdos_renyi(session, args, inputs, lsn):
-    return alg.erdos_renyi_gnm(
-        args["num_nodes"], args["num_edges"],
-        directed=args["directed"], seed=args["seed"],
-    )
-
-
-def _replay_gen_planted_partition(session, args, inputs, lsn):
-    return alg.planted_partition(
-        args["num_communities"], args["community_size"],
-        args["p_in"], args["p_out"], seed=args["seed"],
-    )
-
-
-def _replay_gen_configuration_model(session, args, inputs, lsn):
-    return alg.configuration_model(args["degrees"], seed=args["seed"])
-
-
-def _replay_rewire(session, args, inputs, lsn):
-    return alg.rewire(
-        _one(inputs, lsn, "Rewire"), swaps=args["swaps"], seed=args["seed"]
-    )
-
-
-def _replay_apply_ops(session, args, inputs, lsn):
-    """Re-fold an op stream into the already-reconstructed graph.
-
-    Crash replay and live streaming (``Ringo.TailWal``) share
-    :func:`repro.incremental.ingest.apply_graph_ops`, so a recovered
-    graph's mutation log advances exactly as the original session's did.
+#: Publish rules: a result is always catalogued (loads, Join, ToGraph),
+#: catalogued only in a durable session, or the op mutates its first
+#: input in place (``Select``/``OrderBy`` only when ``in_place``).
+ALWAYS, DURABLE, IN_PLACE = "always", "durable", "in-place"
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One durable op: how it runs, what it publishes, how it is logged.
+
+    ``kind`` (``"table"``/``"graph"``) prefixes the result's catalog
+    name; ``inputs`` names the catalogued input objects, in call order.
+    ``run(session, *inputs, **args)`` executes the op for the live call
+    and for replay. ``encode(args, inputs, result)`` turns the call's
+    keyword arguments into the record's args (an in-place op is encoded
+    before it runs, with ``result=None``) and ``decode`` turns those
+    back into ``run`` keyword arguments; both default to
+    :func:`encode_value` / :func:`decode_value` per argument.
     """
-    from repro.incremental.ingest import apply_graph_ops
 
-    graph = _one(inputs, lsn, "ApplyOps")
-    apply_graph_ops(graph, args["ops"])
-    return graph
+    name: str
+    kind: str
+    inputs: tuple
+    publish: str
+    run: Callable
+    encode: "Callable | None" = None
+    decode: "Callable | None" = None
+
+    def mutates(self, args: dict) -> bool:
+        """Whether a call with ``args`` mutates its first input in place."""
+        return self.publish == IN_PLACE and bool(args.get("in_place", True))
+
+    def log_args(self, args: dict, inputs: tuple, result) -> dict:
+        """The JSON-safe record args for one call."""
+        if self.encode is not None:
+            return self.encode(args, inputs, result)
+        return {name: encode_value(value) for name, value in args.items()}
+
+    def run_args(self, logged: dict) -> dict:
+        """The ``run`` keyword arguments a record's args stand for."""
+        if self.decode is not None:
+            return self.decode(logged)
+        return {name: decode_value(value) for name, value in logged.items()}
 
 
-def _replay_adopt_table(session, args, inputs, lsn):
-    """Rebuild an adopted (externally built) table from its snapshot."""
-    return decode_table_payload(args["payload"], session.pool)
+def _select_log(args, inputs, result):
+    # A predicate string is logged as-is (readable provenance); a mask
+    # or pre-built Predicate as the mask it selects from the input.
+    predicate = args["predicate"]
+    if isinstance(predicate, str):
+        return {"predicate": {"expr": predicate}, "in_place": args["in_place"]}
+    from repro.tables.expressions import as_predicate
+
+    mask = np.asarray(as_predicate(predicate).mask(inputs[0]), dtype=bool)
+    return {"predicate": {"mask": mask.tolist()}, "in_place": args["in_place"]}
 
 
-def _replay_adopt_graph(session, args, inputs, lsn):
-    """Rebuild an adopted (externally built) graph from its snapshot."""
-    return decode_graph_payload(args["payload"], session.workers)
+def _select_args(logged):
+    predicate = logged["predicate"]
+    if "mask" in predicate:
+        predicate = np.asarray(predicate["mask"], dtype=bool)
+    else:
+        predicate = predicate["expr"]
+    return {"predicate": predicate, "in_place": logged["in_place"]}
 
 
-#: op name → replay function(session, args, resolved_inputs, lsn) → object.
-REPLAY = {
-    "LoadTableTSV": _replay_load_table_tsv,
-    "LoadTableBinary": _replay_load_table_npz,
-    "TableFromColumns": _replay_table_from_columns,
-    "TableFromHashMap": _replay_table_from_hashmap,
-    "Select": _replay_select,
-    "Join": _replay_join,
-    "Project": _replay_project,
-    "Rename": _replay_rename,
-    "GroupBy": _replay_group_by,
-    "OrderBy": _replay_order_by,
-    "Union": _replay_union,
-    "Intersect": _replay_intersect,
-    "Minus": _replay_minus,
-    "SimJoin": _replay_sim_join,
-    "NextK": _replay_next_k,
-    "Distinct": _replay_distinct,
-    "Limit": _replay_limit,
-    "TopK": _replay_top_k,
-    "ValueCounts": _replay_value_counts,
-    "WithColumn": _replay_with_column,
-    "Sample": _replay_sample,
-    "ToGraph": _replay_to_graph,
-    "GetEdgeTable": _replay_edge_table,
-    "GetNodeTable": _replay_node_table,
-    "GenRMat": _replay_gen_rmat,
-    "GenPrefAttach": _replay_gen_pref_attach,
-    "GenErdosRenyi": _replay_gen_erdos_renyi,
-    "GenPlantedPartition": _replay_gen_planted_partition,
-    "GenConfigurationModel": _replay_gen_configuration_model,
-    "Rewire": _replay_rewire,
-    "ApplyOps": _replay_apply_ops,
-    "__adopt_table__": _replay_adopt_table,
-    "__adopt_graph__": _replay_adopt_graph,
-}
+TABLE, GRAPH = "table", "graph"
+_T, _G, _LR = ("table",), ("graph",), ("left", "right")
+
+#: op name → :class:`OpSpec`, for every record the WAL can hold.
+OPS = {spec.name: spec for spec in (
+    OpSpec("LoadTableTSV", TABLE, (), ALWAYS,
+           lambda s, schema, path, kwargs: tables.load_table_tsv(
+               schema, path, pool=s.pool, **kwargs),
+           # Logs the *resulting* schema, so replay skips re-inference.
+           lambda args, inputs, table: {
+               "schema": encode_schema(table.schema), "path": os.fspath(args["path"]),
+               "kwargs": encode_value(args["kwargs"])},
+           lambda logged: {
+               "schema": decode_schema(logged["schema"]), "path": logged["path"],
+               "kwargs": decode_value(logged.get("kwargs") or {})}),
+    OpSpec("LoadTableBinary", TABLE, (), ALWAYS,
+           lambda s, path: tables.load_table_npz(path, pool=s.pool)),
+    OpSpec("TableFromColumns", TABLE, (), DURABLE,
+           lambda s, data, schema: Table.from_columns(data, schema=schema, pool=s.pool),
+           # The data has no durable provenance: log the result inline.
+           lambda args, inputs, table: {"payload": encode_table_payload(table)},
+           lambda logged: {"data": logged["payload"]["columns"],
+                           "schema": decode_schema(logged["payload"]["schema"])}),
+    OpSpec("TableFromHashMap", TABLE, (), DURABLE,
+           lambda s, mapping, key_col, value_col: convert.table_from_hashmap(
+               mapping, key_col, value_col, pool=s.pool),
+           lambda args, inputs, table: {
+               "items": [[encode_value(k), encode_value(v)] for k, v in args["mapping"].items()],
+               "key_col": args["key_col"], "value_col": args["value_col"]},
+           lambda logged: {
+               "mapping": {decode_value(k): decode_value(v) for k, v in logged["items"]},
+               "key_col": logged["key_col"], "value_col": logged["value_col"]}),
+    OpSpec("Select", TABLE, _T, IN_PLACE,
+           lambda s, t, predicate, in_place: tables.select(t, predicate, in_place=in_place),
+           _select_log, _select_args),
+    OpSpec("Join", TABLE, _LR, ALWAYS,
+           lambda s, left, right, left_on, right_on, kwargs: tables.join(
+               left, right, left_on, right_on, **kwargs)),
+    OpSpec("Project", TABLE, _T, DURABLE, lambda s, t, columns: tables.project(t, columns)),
+    OpSpec("Rename", TABLE, _T, DURABLE, lambda s, t, mapping: tables.rename(t, mapping)),
+    OpSpec("GroupBy", TABLE, _T, DURABLE,
+           lambda s, t, keys, aggregations: tables.group_by(t, keys, aggregations)),
+    OpSpec("OrderBy", TABLE, _T, IN_PLACE,
+           lambda s, t, keys, ascending, in_place: tables.order_by(
+               t, keys, ascending=ascending, in_place=in_place)),
+    OpSpec("Union", TABLE, _LR, DURABLE,
+           lambda s, left, right, distinct: tables.union(left, right, distinct=distinct)),
+    OpSpec("Intersect", TABLE, _LR, DURABLE, lambda s, left, right: tables.intersect(left, right)),
+    OpSpec("Minus", TABLE, _LR, DURABLE, lambda s, left, right: tables.minus(left, right)),
+    OpSpec("SimJoin", TABLE, _LR, DURABLE,
+           lambda s, left, right, on, threshold, kwargs: tables.sim_join(
+               left, right, on, threshold, **kwargs)),
+    OpSpec("NextK", TABLE, _T, DURABLE,
+           lambda s, t, order_col, k, group_col: tables.next_k(
+               t, order_col, k, group_col=group_col)),
+    OpSpec("Distinct", TABLE, _T, DURABLE, lambda s, t, columns: tables.distinct(t, columns)),
+    OpSpec("Limit", TABLE, _T, DURABLE, lambda s, t, count: tables.limit(t, count)),
+    OpSpec("TopK", TABLE, _T, DURABLE,
+           lambda s, t, column, k, ascending: tables.top_k(t, column, k, ascending=ascending)),
+    OpSpec("ValueCounts", TABLE, _T, DURABLE,
+           lambda s, t, column: tables.value_counts(t, column)),
+    OpSpec("WithColumn", TABLE, _T, DURABLE,
+           lambda s, t, name, expression, as_int: tables.with_column(
+               t, name, expression, as_int=as_int)),
+    OpSpec("Sample", TABLE, _T, DURABLE,
+           lambda s, t, count, seed: tables.sample_rows(t, count, seed=seed)),
+    OpSpec("ToGraph", GRAPH, _T, ALWAYS,
+           lambda s, t, src_col, dst_col, directed: convert.to_graph(
+               t, src_col, dst_col, directed=directed, pool=s.workers)),
+    OpSpec("GetEdgeTable", TABLE, _G, DURABLE,
+           lambda s, g: convert.to_edge_table(g, pool=s.workers, string_pool=s.pool)),
+    OpSpec("GetNodeTable", TABLE, _G, DURABLE,
+           lambda s, g, include_degrees: convert.to_node_table(
+               g, include_degrees=include_degrees, pool=s.workers, string_pool=s.pool)),
+    OpSpec("GenRMat", GRAPH, (), DURABLE,
+           lambda s, scale, num_edges, seed, directed: alg.rmat(
+               scale, num_edges, seed=seed, directed=directed)),
+    OpSpec("GenPrefAttach", GRAPH, (), DURABLE,
+           lambda s, num_nodes, edges_per_node, seed: alg.barabasi_albert(
+               num_nodes, edges_per_node, seed=seed)),
+    OpSpec("GenErdosRenyi", GRAPH, (), DURABLE,
+           lambda s, num_nodes, num_edges, directed, seed: alg.erdos_renyi_gnm(
+               num_nodes, num_edges, directed=directed, seed=seed)),
+    OpSpec("GenPlantedPartition", GRAPH, (), DURABLE,
+           lambda s, num_communities, community_size, p_in, p_out, seed:
+               alg.planted_partition(num_communities, community_size, p_in, p_out, seed=seed)),
+    OpSpec("GenConfigurationModel", GRAPH, (), DURABLE,
+           lambda s, degrees, seed: alg.configuration_model(degrees, seed=seed)),
+    OpSpec("Rewire", GRAPH, _G, DURABLE,
+           lambda s, g, swaps, seed: alg.rewire(g, swaps=swaps, seed=seed)),
+    # Crash replay and live streaming (Ringo.TailWal) share
+    # apply_graph_ops, so a replayed graph's mutation log advances exactly
+    # as the original's did. The ops are logged normalised.
+    OpSpec("ApplyOps", GRAPH, _G, IN_PLACE,
+           lambda s, g, ops: ingest.apply_graph_ops(g, ops),
+           lambda args, inputs, summary: {
+               "ops": [list(op) for op in ingest.validate_ops(args["ops"])]}),
+    OpSpec("__adopt_table__", TABLE, (), DURABLE,
+           lambda s, payload: decode_table_payload(payload, s.pool)),
+    OpSpec("__adopt_graph__", GRAPH, (), DURABLE,
+           lambda s, payload: decode_graph_payload(payload, s.workers)),
+)}
 
 
 def replay_record(session, record, resolved_inputs):
     """Re-execute one WAL record; returns the reconstructed object."""
-    replay = REPLAY.get(record.op)
-    if replay is None:
+    spec = OPS.get(record.op)
+    if spec is None:
         raise ReplayError(record.lsn, record.op, "unknown operation in WAL")
-    return replay(session, record.args, resolved_inputs, record.lsn)
+    if len(resolved_inputs) < len(spec.inputs):
+        raise ReplayError(
+            record.lsn, record.op,
+            f"record names {len(resolved_inputs)} input object(s), "
+            f"the op takes {len(spec.inputs)}",
+        )
+    inputs = tuple(resolved_inputs[: len(spec.inputs)])
+    result = spec.run(session, *inputs, **spec.run_args(record.args))
+    return inputs[0] if record.mutates else result

@@ -140,6 +140,8 @@ class SessionService:
         self.shipper = None  # WalShipper when primary ships to a replica
         self._server: "asyncio.base_events.Server | None" = None
         self._tick_task: "asyncio.Task | None" = None
+        #: live connection handler task → its stream writer
+        self._connections: dict = {}
         self._started_at = 0.0
         self._requests_accepted = 0
 
@@ -385,6 +387,8 @@ class SessionService:
         """
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
+        connection = asyncio.current_task()
+        self._connections[connection] = writer
 
         async def answer(raw: object) -> None:
             response = await self.submit(raw)
@@ -412,6 +416,7 @@ class SessionService:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections.pop(connection, None)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
             writer.close()
@@ -443,6 +448,13 @@ class SessionService:
             await asyncio.to_thread(self.shipper.stop)
         if drain and self.manager is not None:
             report = await self.drain()
+        # Close connections still open (an idle client) so each handler
+        # reads EOF and returns, instead of being cancelled mid-read at
+        # loop shutdown.
+        connections = dict(self._connections)
+        for writer in connections.values():
+            writer.close()
+        await asyncio.gather(*connections, return_exceptions=True)
         if self.applier is not None:
             await asyncio.to_thread(self.applier.close)
         if self.executor is not None:

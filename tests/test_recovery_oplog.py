@@ -24,6 +24,7 @@ import pytest
 from repro.core.engine import Ringo
 from repro.graphs.directed import DirectedGraph
 from repro.recovery.digest import catalog_digest
+from repro.recovery.ops import OPS
 from repro.recovery.wal import WAL_FILENAME, read_wal
 from repro.tables.table import Table
 
@@ -124,10 +125,8 @@ PROGRAMS = {
 
 
 def durable_op_names():
-    """Every op the WAL can hold, from the replay side's own table."""
-    from repro.recovery.ops import REPLAY
-
-    return sorted(REPLAY)
+    """Every op the WAL can hold, from the op table."""
+    return sorted(OPS)
 
 
 def run_program(op, tmp):

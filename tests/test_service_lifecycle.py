@@ -8,6 +8,8 @@ committed state).
 """
 
 import asyncio
+import logging
+import socket
 
 import pytest
 
@@ -258,3 +260,21 @@ def test_drain_checkpoints_dirty_sessions(tmp_path, edges_tsv):
     # The spool alone reconstructs the session bit-for-bit.
     with Ringo.recover(spool / "alice", workers=1) as revived:
         assert catalog_digest(revived) == before
+
+
+def test_stop_with_idle_connection_logs_nothing(tmp_path, caplog):
+    # An idle client's handler sits in readline(); stopping must close
+    # it cleanly rather than cancel it, which the loop reports through
+    # its exception handler (logged on the "asyncio" logger).
+    handle = ServiceHandle(ServiceConfig(spool_dir=str(tmp_path / "spool"))).start()
+    idle = socket.create_connection(handle.address)
+    try:
+        # One answered request: the handler is now back in readline().
+        idle.sendall(b'{"id": 1, "tenant": "t1", "op": "ping"}\n')
+        assert b"pong" in idle.recv(4096)
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            handle.stop()
+        assert idle.recv(1) == b""  # the server closed the connection
+    finally:
+        idle.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
