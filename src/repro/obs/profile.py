@@ -5,9 +5,14 @@ the nested call tree and renders it with per-node call counts, total
 (inclusive) and self (exclusive) wall time — the "where did that
 ToGraph actually go?" view the interactive session answers with::
 
-    engine.ToGraph                       calls 1  total 0.532s  self 0.012s
-      convert.sort_first                 calls 1  total 0.498s  self 0.101s
-        pool.kernel                      calls 4  total 0.397s  self 0.397s
+    engine.ToGraph           calls 1  total 0.532s  self 0.034s  workers 0.000s
+      convert.sort_first     calls 1  total 0.498s  self 0.498s  workers 0.397s
+        pool.kernel          calls 4  total 0.397s  self 0.397s  workers 0.000s
+
+Self time subtracts only the children that ran on the parent's own
+thread. Children on other threads (pool workers) overlap the parent's
+wall time, so their summed time is reported in the ``workers`` column
+instead of being taken off ``self``.
 
 Sibling spans with the same name under the same parent are aggregated
 (call counts add, times sum), which is what makes per-partition worker
@@ -20,12 +25,14 @@ from typing import Iterable
 
 
 class _Node:
-    __slots__ = ("name", "calls", "total_s", "rss_kb", "children")
+    __slots__ = ("name", "calls", "total_s", "foreign_s", "rss_kb", "children")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.calls = 0
         self.total_s = 0.0
+        # Time of the calls whose parent span ran on another thread.
+        self.foreign_s = 0.0
         self.rss_kb = 0
         self.children: dict[str, _Node] = {}
 
@@ -54,9 +61,13 @@ def build_tree(records: Iterable[dict]) -> _Node:
 
     for record in records:
         node = node_for(record)
+        duration = float(record.get("duration_s", 0.0))
         node.calls += 1
-        node.total_s += float(record.get("duration_s", 0.0))
+        node.total_s += duration
         node.rss_kb += int(record.get("rss_delta_kb", 0))
+        parent = by_id.get(record.get("parent_id"))
+        if parent is not None and parent.get("thread") != record.get("thread"):
+            node.foreign_s += duration
     return root
 
 
@@ -71,18 +82,21 @@ def render_profile(records: Iterable[dict], min_total_s: float = 0.0) -> str:
     if not root.children:
         return "(no spans recorded — is tracing enabled?)"
     lines = [
-        f"{'span':<52} {'calls':>6} {'total':>10} {'self':>10} {'rss+':>8}"
+        f"{'span':<52} {'calls':>6} {'total':>10} {'self':>10} {'workers':>10} "
+        f"{'rss+':>8}"
     ]
 
     def walk(node: _Node, depth: int) -> None:
-        child_total = sum(child.total_s for child in node.children.values())
-        self_s = max(0.0, node.total_s - child_total)
+        children = node.children.values()
+        workers_s = sum(child.foreign_s for child in children)
+        same_thread_s = sum(child.total_s for child in children) - workers_s
+        self_s = max(0.0, node.total_s - same_thread_s)
         label = "  " * depth + node.name
         if len(label) > 52:
             label = label[:49] + "..."
         lines.append(
             f"{label:<52} {node.calls:>6} {node.total_s:>9.4f}s {self_s:>9.4f}s "
-            f"{node.rss_kb:>6}KB"
+            f"{workers_s:>9.4f}s {node.rss_kb:>6}KB"
         )
         for child in sorted(
             node.children.values(), key=lambda c: c.total_s, reverse=True

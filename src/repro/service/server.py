@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro import obs
+from repro.core.engine import ANALYTICS
 from repro.exceptions import RequestRejected, RingoError, ServiceError
 from repro.faults import fault_point
 from repro.parallel.resilience import RetryPolicy
@@ -55,6 +56,14 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.service.session import SessionManager
+
+REPLICA_READS = frozenset(ANALYTICS) | {
+    "objects", "digest", "digest_at", "GetLinkPredictions", "GetEdgeTable",
+    "GetNodeTable", "GetEgonet", "GetSnapshots",
+}
+"""Ops a replica answers: catalog probes, every analytics-table call and
+the other reads (exports, egonets, snapshots, link predictions). Anything
+else must go to the primary."""
 
 
 @dataclass
@@ -325,7 +334,7 @@ class SessionService:
         stale answer is never served silently.
         """
         applier = self.applier
-        if not (op in ("objects", "digest", "digest_at") or op.startswith("Get")):
+        if op not in REPLICA_READS:
             return error_response(
                 request_id,
                 ServiceError(

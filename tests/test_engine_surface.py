@@ -9,6 +9,124 @@ import pytest
 
 from repro.core.engine import Ringo
 
+# The timed methods the sweep below calls on its module session: each
+# must record its own ``call_timings()`` entry, no more and no fewer.
+SWEEP_TIMED = {
+    "FindCycle", "GetAlgebraicConnectivity", "GetArticulationPoints",
+    "GetBfsLevels", "GetBridges", "GetClusteringCoefficients", "GetColoring",
+    "GetCommunities", "GetCoreNumbers", "GetDegreeCentrality",
+    "GetDegreeDistribution", "GetDiameter", "GetEdgeTable",
+    "GetEffectiveDiameter", "GetGirth", "GetHits", "GetKCore", "GetKTruss",
+    "GetKatz", "GetLinkPredictions", "GetMatching", "GetMaxFlow", "GetMinCut",
+    "GetNodeTable", "GetPageRank", "GetScc", "GetSpectralBisection", "GetSssp",
+    "GetTriadCensus", "GetTriangleCounts", "GetTriangles", "GetWcc",
+    "GetWeightedPageRank", "IsBipartite", "Join", "LoadTableTSV",
+    "ToCoOccurrenceGraph", "ToGraph", "ToWeightedNetwork",
+}
+
+# Each session method's registry description (its first docstring line).
+RINGO_DESCRIPTIONS = {
+    "ringo.ApplyOps": "Fold a mutation op stream into a dynamic graph.",
+    "ringo.Crosstab": "Wide-format cross-tabulation of two key columns.",
+    "ringo.Describe": "Per-column summary statistics.",
+    "ringo.Distinct": "Unique rows (first occurrence kept).",
+    "ringo.FindCycle": "One directed cycle (closed node list), or None.",
+    "ringo.Functions": "Registered function names (optionally one category).",
+    "ringo.GenConfigurationModel": "Random graph approximating a degree sequence.",
+    "ringo.GenErdosRenyi": "G(n, m) synthetic graph.",
+    "ringo.GenPlantedPartition": (
+        "Planted-partition synthetic graph (community-detection testbed)."
+    ),
+    "ringo.GenPrefAttach": "Barabási–Albert synthetic graph.",
+    "ringo.GenRMat": "R-MAT synthetic graph.",
+    "ringo.GetAlgebraicConnectivity": "Second-smallest Laplacian eigenvalue.",
+    "ringo.GetArticulationPoints": "Cut vertices of the undirected projection.",
+    "ringo.GetBfsLevels": "BFS hop distances from a source.",
+    "ringo.GetBridges": "Cut edges of the undirected projection.",
+    "ringo.GetClusteringCoefficients": "Local clustering coefficient per node.",
+    "ringo.GetColoring": "Greedy proper node colouring.",
+    "ringo.GetCommunities": "Label-propagation communities.",
+    "ringo.GetCoreNumbers": "Core number per node.",
+    "ringo.GetDegreeCentrality": "Degree centrality.",
+    "ringo.GetDegreeDistribution": "Degree histogram as a session table.",
+    "ringo.GetDiameter": "(Sampled) diameter.",
+    "ringo.GetEdgeTable": "Graph → edge table (partitioned parallel writer).",
+    "ringo.GetEffectiveDiameter": "(Sampled) 90th-percentile effective diameter.",
+    "ringo.GetEgonet": "The induced subgraph around one node.",
+    "ringo.GetGirth": "Shortest cycle length of the undirected projection.",
+    "ringo.GetHits": "HITS ``(hubs, authorities)``.",
+    "ringo.GetKCore": "The k-core subgraph (Table 6 benchmarks ``k=3``).",
+    "ringo.GetKTruss": "The k-truss subgraph (edges with >= k-2 triangle supports).",
+    "ringo.GetKatz": "Katz centrality.",
+    "ringo.GetLinkPredictions": (
+        "Top-k predicted links by a similarity index (Jaccard default)."
+    ),
+    "ringo.GetMatching": "Maximum bipartite matching (Hopcroft-Karp).",
+    "ringo.GetMaxFlow": "Maximum s-t flow (Dinic).",
+    "ringo.GetMinCut": "Minimum s-t cut node partition.",
+    "ringo.GetNodeTable": "Graph → node table, optionally with degree columns.",
+    "ringo.GetObject": "Look up a published object by catalog name.",
+    "ringo.GetPageRank": "PageRank scores (the demo's expert-ranking step).",
+    "ringo.GetScc": "Strongly connected component labels (Table 6's SCC).",
+    "ringo.GetSnapshots": "Time-windowed interaction graphs from an event table.",
+    "ringo.GetSpectralBisection": "Two-way partition by the Fiedler vector's sign.",
+    "ringo.GetSssp": "Single-source shortest paths (Table 6's SSSP).",
+    "ringo.GetTriadCensus": "The 16-class directed triad census.",
+    "ringo.GetTriangleCounts": "Per-node triangle participation counts.",
+    "ringo.GetTriangles": "Total distinct triangles (Table 3's second benchmark).",
+    "ringo.GetWcc": "Weakly connected component labels.",
+    "ringo.GetWeightedPageRank": (
+        "PageRank with rank spread proportional to edge weights."
+    ),
+    "ringo.GroupBy": "Group & aggregate.",
+    "ringo.Intersect": "Set intersection.",
+    "ringo.IsBipartite": "Whether the undirected projection is 2-colourable.",
+    "ringo.Join": "Inner equi-join; always a new table, clashes suffixed -1/-2.",
+    "ringo.Limit": "The first ``count`` rows.",
+    "ringo.LoadTableBinary": "Load a binary table snapshot (session-pooled).",
+    "ringo.LoadTableTSV": "Load a TSV file into a table (paper §4.1 listing, line 1).",
+    "ringo.Minus": "Set difference.",
+    "ringo.NextK": "Temporal predecessor/successor join.",
+    "ringo.NumFunctions": (
+        "Size of the analytics surface — the paper's \"over 200\" claim."
+    ),
+    "ringo.Objects": "Names of objects the session has successfully published.",
+    "ringo.OrderBy": "Sort rows.",
+    "ringo.Project": "Keep only the named columns.",
+    "ringo.Quantiles": "Quantiles of a numeric column.",
+    "ringo.Rename": "Rename columns (new table, shared data).",
+    "ringo.Rewire": "Degree-preserving double-edge-swap null model.",
+    "ringo.Sample": "A uniform random row sample.",
+    "ringo.SaveTableBinary": "Snapshot a table to a binary .npz archive.",
+    "ringo.SaveTableTSV": "Write a table as TSV; returns the row count.",
+    "ringo.Select": "Filter rows by predicate string/mask (``'Tag=Java'``).",
+    "ringo.SimJoin": "Similarity join: rows whose key distance is below threshold.",
+    "ringo.TableFromColumns": "Build a table from per-column data (session-pooled).",
+    "ringo.TableFromHashMap": (
+        "Result map → two-column table (paper §4.1 listing, last line)."
+    ),
+    "ringo.TailWal": "Stream committed ``ApplyOps`` records out of another WAL.",
+    "ringo.ToCoOccurrenceGraph": (
+        "Link actors sharing a group value (§4.1's alternative build)."
+    ),
+    "ringo.ToGraph": "Edge table → graph via the sort-first algorithm.",
+    "ringo.ToWeightedNetwork": (
+        "Collapse duplicate edges into a weight-attributed Network."
+    ),
+    "ringo.TopK": "The ``k`` extreme rows by one column.",
+    "ringo.Union": "Set union (UNION ALL with ``distinct=False``).",
+    "ringo.ValueCounts": "Distinct values with occurrence counts, descending.",
+    "ringo.WithColumn": "Append a computed column from an arithmetic expression.",
+    "ringo.call_timings": "Per-method call counts and cumulative seconds.",
+    "ringo.checkpoint": "Write an atomic, checksummed snapshot of the session catalog.",
+    "ringo.health": "One structured snapshot of the session's resilience state.",
+    "ringo.profile": "Render the recorded span tree with per-node self/total times.",
+    "ringo.recover": "Reconstruct a crashed session from its durability directory.",
+    "ringo.workers_info": (
+        "The worker pool's configuration and lifetime execution counters."
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def ringo():
@@ -157,3 +275,13 @@ def test_every_session_method_exercised(ringo, graph, tmp_path):
     }
     missing = public - set(exercised)
     assert not missing, f"engine methods not exercised: {sorted(missing)}"
+    assert set(ringo.call_timings()) == SWEEP_TIMED
+
+
+def test_session_registry_descriptions_are_pinned(ringo):
+    described = {
+        entry.name: entry.description
+        for entry in ringo.registry
+        if entry.name.startswith("ringo.")
+    }
+    assert described == RINGO_DESCRIPTIONS

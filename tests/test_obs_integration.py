@@ -171,6 +171,35 @@ class TestProfileReport:
         )
         assert tograph_line.startswith("  ")
 
+    def test_self_time_subtracts_only_same_thread_children(self):
+        def record(span_id, name, thread, seconds, parent=None):
+            return {
+                "name": name, "span_id": span_id, "parent_id": parent,
+                "thread": thread, "start_s": 0.0, "duration_s": seconds,
+                "rss_delta_kb": 0, "tags": {},
+            }
+
+        # A 0.4 s build with one 0.1 s same-thread child and three
+        # 0.2 s pool-worker kernels that overlap its wall time.
+        records = [
+            record(1, "snapshot.build", "MainThread", 0.4),
+            record(2, "snapshot.encode", "MainThread", 0.1, parent=1),
+            record(3, "pool.kernel", "worker-0", 0.2, parent=1),
+            record(4, "pool.kernel", "worker-1", 0.2, parent=1),
+            record(5, "pool.kernel", "worker-2", 0.2, parent=1),
+        ]
+        report = obs.render_profile(records)
+        header = report.splitlines()[0].split()
+        assert header == ["span", "calls", "total", "self", "workers", "rss+"]
+        rows = {
+            fields[0]: fields[1:]
+            for fields in (line.split() for line in report.splitlines()[1:])
+        }
+        # calls, total, self (minus same-thread children), workers, rss+
+        assert rows["snapshot.build"] == ["1", "0.4000s", "0.3000s", "0.6000s", "0KB"]
+        assert rows["snapshot.encode"] == ["1", "0.1000s", "0.1000s", "0.0000s", "0KB"]
+        assert rows["pool.kernel"] == ["3", "0.6000s", "0.6000s", "0.0000s", "0KB"]
+
     def test_profile_without_tracing_says_so(self, no_global_tracer, monkeypatch):
         # RINGO_TRACE in the environment would arm a session tracer.
         monkeypatch.delenv(obs.ENV_VAR, raising=False)

@@ -576,6 +576,23 @@ class TestServicePair:
             primary.stop()
             replica.stop()
 
+    def test_replica_serves_analytics_reads_without_get_prefix(self, tmp_path):
+        primary, replica = _service_pair(tmp_path)
+        try:
+            graph = _drive_writes(primary, batches=2)
+            wait_until(_replica_caught_up(primary, 4), message="catch-up")
+            ref = {"$ref": graph["$ref"]}
+            for op in ("IsBipartite", "FindCycle", "GetWcc"):
+                assert replica.call("alice", op, graph=ref) == primary.call(
+                    "alice", op, graph=ref
+                )
+            with pytest.raises(RemoteError) as excinfo:
+                replica.call("alice", "TableFromColumns", data={"x": [1]})
+            assert "read-only" in str(excinfo.value)
+        finally:
+            primary.stop()
+            replica.stop()
+
     def test_seeded_faults_are_absorbed_as_backpressure(self, tmp_path):
         primary, replica = _service_pair(tmp_path)
         try:
