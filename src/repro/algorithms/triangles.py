@@ -3,10 +3,12 @@
 "Triangle counting is directly related to relational joins"; Ringo's
 implementation is "a straightforward approach, similar to [PATRIC],
 parallelizing the execution with a few OpenMP statements". The same
-structure here: the *forward* node-iterator — each node intersects the
-sorted adjacency of its higher-ordered neighbours — with the per-node
-work distributed over a worker pool using degree-balanced chunks (degree
-skew makes equal-count partitions badly unbalanced).
+structure here: the *forward* node-iterator over a degree-rank
+orientation, where each wedge — two forward edges ``(u, v)``,
+``(u, w)`` of one row — closes a triangle iff ``(v, w)`` is a forward
+edge too. Work is split by the global wedge index rather than by node,
+so every worker gets the same number of wedges however skewed the
+degrees are.
 
 Directed input is treated as its undirected projection, matching the
 paper's "undirected triangle counting".
@@ -20,49 +22,62 @@ from repro.algorithms.common import as_csr, counts_to_dict
 from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import WorkerPool, kernel_dispatcher
 
+# Wedges closed per step of :func:`_triangle_partition`. It bounds the
+# kernel's transient arrays to a few MB whatever the graph or span size,
+# which keeps the triangle path's peak under 2x the projection's size.
+_WEDGE_BATCH = 1 << 17
 
-def _triangle_partition(arrays, lo: int, hi: int) -> np.ndarray:
-    """Forward-algorithm triangle counts for wedges rooted in ``[lo, hi)``.
 
-    Returns a full-length per-node partial (a wedge at ``u`` closes a
-    triangle whose credit lands on ``u``, ``v``, *and* ``w``, which may
-    lie outside the span); the caller sums the partials, so partitions
-    never write shared state. Module-level and array-dict-driven so the
-    process backend can dispatch it by reference over a shared-memory
-    export — the thread backend runs the very same function.
+def _triangle_partition(arrays, lo: int, hi: int, count: int) -> np.ndarray:
+    """Triangle credits (in rank space) for global wedges ``[lo, hi)``.
+
+    Wedge ``g`` of forward edge ``e = (u, v)`` pairs it with the later
+    edge ``e + 1 + (g - wedge_prefix[e])`` of the same row, ``(u, w)``;
+    it closes iff the key ``v*n + w`` is a forward edge key. Only the
+    ``i < j`` pairs of a row exist, each once. Wedges are taken
+    ``_WEDGE_BATCH`` at a time, and a batch or span may start or stop
+    inside an edge's run of wedges.
+
+    Returns a full-length per-rank partial (a triangle credits ``u``,
+    ``v`` and ``w``, which may lie outside the span); the caller sums
+    the partials, so partitions never write shared state. Module-level
+    and array-dict-driven so the process backend can dispatch it by
+    reference over a shared-memory export — the thread backend runs the
+    very same function.
     """
-    findptr = arrays["forward_indptr"]
-    findices = arrays["forward_indices"]
-    edge_keys = arrays["forward_edge_keys"]
-    count = len(findptr) - 1
-    fdeg = np.diff(findptr)
-    base, stop = int(findptr[lo]), int(findptr[hi])
+    keys = arrays["forward_edge_keys"]
+    indices = arrays["forward_indices"]
+    sources = arrays["forward_sources"]
+    prefix = arrays["forward_wedge_prefix"]
     partial = np.zeros(count, dtype=np.int64)
-    if base == stop:
-        return partial
-    # Wedges at u: for each forward edge (u, v), every w in
-    # forward[u]. Triangle (u, v, w) closes iff (v, w) is itself a
-    # forward edge (rank u < rank v < rank w by construction).
-    e_src = np.repeat(np.arange(lo, hi, dtype=np.int64), fdeg[lo:hi])
-    e_dst = findices[base:stop]
-    cand_counts = fdeg[e_src]
-    total = int(cand_counts.sum())
-    if total == 0:
-        return partial
-    starts = np.repeat(findptr[e_src], cand_counts)
-    group_offsets = np.repeat(
-        np.cumsum(cand_counts) - cand_counts, cand_counts
-    )
-    w = findices[starts + (np.arange(total) - group_offsets)]
-    v = np.repeat(e_dst, cand_counts)
-    u = np.repeat(e_src, cand_counts)
-    query = v * count + w
-    position = np.searchsorted(edge_keys, query)
-    position = np.minimum(position, len(edge_keys) - 1)
-    closed = edge_keys[position] == query
-    partial += np.bincount(u[closed], minlength=count)
-    partial += np.bincount(v[closed], minlength=count)
-    partial += np.bincount(w[closed], minlength=count)
+    last = len(keys) - 1
+    for start in range(lo, hi, _WEDGE_BATCH):
+        stop = min(start + _WEDGE_BATCH, hi)
+        # Edges [first, end) own this batch's wedges; runs[i] is how
+        # many of edge first + i's wedges fall inside it.
+        first = int(np.searchsorted(prefix, start, side="right")) - 1
+        end = int(np.searchsorted(prefix, stop, side="left"))
+        runs = np.minimum(prefix[first + 1:end + 1], stop) - np.maximum(
+            prefix[first:end], start
+        )
+        partner = np.arange(start, stop) + np.repeat(
+            np.arange(first + 1, end + 1) - prefix[first:end], runs
+        )
+        v = np.repeat(indices[first:end], runs)
+        w = indices[partner]
+        query = v * count + w
+        position = np.searchsorted(keys, query)
+        np.minimum(position, last, out=position)
+        closed = keys[position] == query
+        # Wedges come grouped by edge (u, v): prefix sums of ``closed``
+        # give each edge's closures, which credit u and v in one
+        # scatter each; w is credited per closed wedge.
+        done = np.concatenate(([0], np.cumsum(closed)))
+        edge_ends = np.cumsum(runs)
+        per_edge = done[edge_ends] - done[edge_ends - runs]
+        np.add.at(partial, sources[first:end], per_edge)
+        np.add.at(partial, indices[first:end], per_edge)
+        partial += np.bincount(w[closed], minlength=count)
     return partial
 
 
@@ -108,27 +123,36 @@ def triangle_count_array(
     its higher-ranked neighbours, so each triangle is closed exactly once
     (at its lowest-ranked vertex) and hub work collapses from O(d^2) to
     the O(m^1.5) bound — the "straightforward approach, similar to
-    PATRIC" the paper cites. The partitioned wedge-closure kernel
-    :func:`_triangle_partition` runs through the kernel dispatcher:
-    thread workers share the snapshot's cached forward adjacency
-    in-process, process workers map its shared-memory export, and the
-    per-partition integer partials sum identically either way.
+    PATRIC" the paper cites. The batched wedge-closure kernel
+    :func:`_triangle_partition` runs through the kernel dispatcher over
+    spans of the global wedge index, so both backends get
+    wedge-balanced spans: thread workers share the snapshot's cached
+    forward structure in-process, process workers map its shared-memory
+    export, and the per-partition integer partials sum identically
+    either way. The rank-space totals map back to dense ids at the end.
     """
-    count = sym.num_nodes
-    totals = np.zeros(count, dtype=np.int64)
-    if count == 0:
+    forward = sym.forward_adjacency()
+    totals = np.zeros(sym.num_nodes, dtype=np.int64)
+    wedges = int(forward.wedge_prefix[-1])
+    if wedges == 0:
         return totals
     partials = kernel_dispatcher().run_kernel(
         sym,
         _triangle_partition,
-        arrays=("forward_indptr", "forward_indices", "forward_edge_keys"),
-        total=count,
+        arrays=(
+            "forward_edge_keys",
+            "forward_indices",
+            "forward_sources",
+            "forward_wedge_prefix",
+        ),
+        total=wedges,
+        extra=(sym.num_nodes,),
         pool=pool,
         backend=backend,
     )
     for partial in partials:
         totals += partial
-    return totals
+    return totals[forward.rank]
 
 
 def total_triangles(graph, pool: WorkerPool | None = None) -> int:

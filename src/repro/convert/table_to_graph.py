@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.exceptions import ConversionError
 from repro.faults import fault_point
+from repro.graphs.base import unique_sorted
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
@@ -102,7 +103,7 @@ def sort_first_directed(
         # Phase 2: neighbour counts from run boundaries — exact sizes
         # known up front, no growth estimation needed.
         with trace("convert.count"):
-            node_ids = np.unique(np.concatenate([out_src, out_dst]))
+            node_ids = unique_sorted(np.sort(np.concatenate([out_src, out_dst])))
             out_lo = np.searchsorted(out_src, node_ids, side="left")
             out_hi = np.searchsorted(out_src, node_ids, side="right")
             in_lo = np.searchsorted(in_dst, node_ids, side="left")
@@ -153,7 +154,7 @@ def sort_first_undirected(
             sym_dst = sym_dst[keep]
 
         with trace("convert.count"):
-            node_ids = np.unique(sym_src)
+            node_ids = unique_sorted(sym_src)
             lo = np.searchsorted(sym_src, node_ids, side="left")
             hi = np.searchsorted(sym_src, node_ids, side="right")
         node_list = node_ids.tolist()

@@ -14,12 +14,39 @@ the other way.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.graphs.base import readonly
+from repro.graphs.base import readonly, unique_sorted
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
+
+
+class ForwardAdjacency(NamedTuple):
+    """Degree-rank forward structure of a symmetric CSR (all read-only).
+
+    Node ``d`` is renamed ``rank[d]``, its position in ascending
+    ``(degree, id)`` order, and keeps only its higher-ranked neighbours.
+    Every other array is in rank space; forward edge ``e`` runs from
+    ``sources[e]`` to ``indices[e]``.
+    """
+
+    indptr: np.ndarray
+    """Row pointer over ranks (``n + 1`` entries)."""
+    indices: np.ndarray
+    """Higher-ranked neighbours, ascending within each row."""
+    keys: np.ndarray
+    """Each forward edge as ``u*n + v``; globally ascending."""
+    sources: np.ndarray
+    """Row (rank) of each forward edge; ascending."""
+    wedge_prefix: np.ndarray
+    """Global wedge index: edge ``e`` owns wedges
+    ``[wedge_prefix[e], wedge_prefix[e + 1])``, one per later edge of its
+    row (``m + 1`` entries; the last is the wedge count)."""
+    rank: np.ndarray
+    """Rank of each dense node id."""
 
 
 class CSRGraph:
@@ -53,8 +80,11 @@ class CSRGraph:
         self._edge_sources: np.ndarray | None = None
         self._num_self_loops: int | None = None
         self._undirected: "CSRGraph | None" = None
-        self._forward: "tuple[np.ndarray, np.ndarray] | None" = None
-        self._forward_edge_keys: "np.ndarray | None" = None
+        # Set on projections: the edge set is symmetric and loop-free,
+        # so the snapshot is its own projection. A flag rather than a
+        # self-reference keeps projections out of reference cycles.
+        self._symmetric = False
+        self._forward: ForwardAdjacency | None = None
         self._out_edge_keys: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
@@ -77,13 +107,13 @@ class CSRGraph:
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         if len(sources) != len(targets):
             raise GraphError("edge arrays must have equal length")
-        node_ids = np.unique(np.concatenate([sources, targets]))
+        node_ids = unique_sorted(np.sort(np.concatenate([sources, targets])))
         dense_src = np.searchsorted(node_ids, sources)
         dense_dst = np.searchsorted(node_ids, targets)
         if deduplicate and len(dense_src):
-            pairs = np.stack([dense_src, dense_dst], axis=1)
-            pairs = np.unique(pairs, axis=0)
-            dense_src, dense_dst = pairs[:, 0], pairs[:, 1]
+            count = len(node_ids)
+            keys = unique_sorted(np.sort(dense_src * count + dense_dst))
+            dense_src, dense_dst = np.divmod(keys, count)
         return cls._from_dense_edges(node_ids, dense_src, dense_dst)
 
     @classmethod
@@ -330,72 +360,83 @@ class CSRGraph:
 
         The shared input of the triangle/clustering/community family;
         one symmetrisation now serves every such call on this snapshot.
+        Both directions of every non-loop edge become packed ``u*n + v``
+        keys; one sort and a neighbour-compare dedupe leave them in CSR
+        order. The edge set is symmetric, so the in-arrays are the
+        out-arrays. A projection is its own projection: chained calls
+        (e.g. girth after triangles) hit the same object.
+
+        >>> csr = CSRGraph.from_edges([0, 1, 1, 2], [1, 0, 1, 0])
+        >>> sym = csr.undirected_projection()
+        >>> sym.out_indices.tolist(), sym.undirected_projection() is sym
+        ([1, 2, 0, 0], True)
         """
+        if self._symmetric:
+            return self
         if self._undirected is None:
+            count = self.num_nodes
             src = self.edge_sources()
             dst = self._out_indices
             keep = src != dst
             src, dst = src[keep], dst[keep]
-            sym_src = np.concatenate([src, dst])
-            sym_dst = np.concatenate([dst, src])
-            pairs = np.unique(np.stack([sym_src, sym_dst], axis=1), axis=0)
-            projection = CSRGraph._from_dense_edges(
-                self._node_ids, pairs[:, 0], pairs[:, 1]
+            keys = np.concatenate([src * count + dst, dst * count + src])
+            keys.sort()
+            sym_src, sym_dst = np.divmod(unique_sorted(keys), count)
+            indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(sym_src, minlength=count)))
             )
-            # The projection is its own fixed point: chained calls
-            # (e.g. girth after triangles) hit the same object.
-            projection._undirected = projection
+            projection = CSRGraph(self._node_ids, indptr, sym_dst, indptr, sym_dst)
+            projection._symmetric = True
+            sym_src.flags.writeable = False
+            projection._edge_sources = sym_src
             self._undirected = projection
         return self._undirected
 
-    def forward_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Degree-ranked forward adjacency ``(indptr, indices)`` (cached).
+    def forward_adjacency(self) -> ForwardAdjacency:
+        """Degree-rank forward structure of this symmetric CSR (cached).
 
         Each node keeps only its neighbours of strictly higher
-        ``(degree, id)`` rank — the orientation that lets the triangle
-        kernel close every triangle exactly once at its lowest-ranked
-        vertex while hub work collapses to the O(m^1.5) bound. Indices
-        stay sorted by dense id inside each node's slice. Like the other
-        derived arrays this is computed once per snapshot; warm triangle
-        and clustering calls skip the rebuild entirely.
+        ``(degree, id)`` rank — the orientation that closes every
+        triangle exactly once, at its lowest-ranked vertex, while hub
+        work collapses to the O(m^1.5) bound. The triangle kernel reads
+        it in rank space (see :class:`ForwardAdjacency`): ascending
+        rows, ascending edge keys for its wedge-closure search, and the
+        wedge prefix that splits its work into balanced spans. Built
+        once per snapshot; warm triangle and clustering calls skip it.
+
+        >>> sym = CSRGraph.from_edges([0, 0, 1], [1, 2, 2]).undirected_projection()
+        >>> int(sym.forward_adjacency().wedge_prefix[-1])
+        1
         """
         if self._forward is None:
             count = self.num_nodes
-            degrees = self.out_degrees()
-            rank = np.empty(count, dtype=np.int64)
-            rank[np.lexsort((np.arange(count), degrees))] = np.arange(count)
             src = self.edge_sources()
             dst = self._out_indices
-            keep = rank[dst] > rank[src]
-            fsrc, fdst = src[keep], dst[keep]
-            fdeg = np.bincount(fsrc, minlength=count)
-            findptr = np.concatenate(([0], np.cumsum(fdeg)))
-            findptr.flags.writeable = False
-            findices = np.ascontiguousarray(fdst)
-            findices.flags.writeable = False
-            self._forward = (findptr, findices)
-        return self._forward
-
-    def forward_edge_keys(self) -> np.ndarray:
-        """Each forward edge ``(u, v)`` as the sortable key ``u*n + v``.
-
-        The binary-search side of the triangle kernel's wedge-closure
-        test. ``forward_indices`` are id-sorted within each node's
-        slice, so the key array is globally ascending. Cached like the
-        other derived arrays (and exported once per snapshot by the
-        process backend instead of being rebuilt per dispatch).
-        """
-        if self._forward_edge_keys is None:
-            findptr, findices = self.forward_adjacency()
-            count = self.num_nodes
-            keys = (
-                np.repeat(np.arange(count, dtype=np.int64), np.diff(findptr))
-                * count
-                + findices
+            rank = np.empty(count, dtype=np.int64)
+            rank[np.argsort(self.out_degrees(), kind="stable")] = np.arange(count)
+            keep = rank[src] < rank[dst]
+            keys = rank[src[keep]]
+            keys *= count
+            keys += rank[dst[keep]]
+            del keep
+            keys.sort()
+            sources, indices = np.divmod(keys, count)
+            indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(sources, minlength=count)))
             )
-            keys.flags.writeable = False
-            self._forward_edge_keys = keys
-        return self._forward_edge_keys
+            # Edge e pairs with every later edge of its row.
+            wedges = indptr[1:][sources]
+            wedges -= 1
+            wedges -= np.arange(len(keys))
+            wedge_prefix = np.zeros(len(keys) + 1, dtype=np.int64)
+            np.cumsum(wedges, out=wedge_prefix[1:])
+            forward = ForwardAdjacency(
+                indptr, indices, keys, sources, wedge_prefix, rank
+            )
+            for array in forward:
+                array.flags.writeable = False
+            self._forward = forward
+        return self._forward
 
     def out_edge_keys(self) -> np.ndarray:
         """Each out edge ``(src, dst)`` as the sortable key ``src*n + dst``.

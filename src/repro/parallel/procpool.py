@@ -66,9 +66,10 @@ ARRAY_PROVIDERS = {
     "out_degrees": lambda csr: csr.out_degrees(),
     "in_degrees": lambda csr: csr.in_degrees(),
     "edge_sources": lambda csr: csr.edge_sources(),
-    "forward_indptr": lambda csr: csr.forward_adjacency()[0],
-    "forward_indices": lambda csr: csr.forward_adjacency()[1],
-    "forward_edge_keys": lambda csr: csr.forward_edge_keys(),
+    "forward_indices": lambda csr: csr.forward_adjacency().indices,
+    "forward_edge_keys": lambda csr: csr.forward_adjacency().keys,
+    "forward_sources": lambda csr: csr.forward_adjacency().sources,
+    "forward_wedge_prefix": lambda csr: csr.forward_adjacency().wedge_prefix,
 }
 
 

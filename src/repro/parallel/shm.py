@@ -150,7 +150,11 @@ class ShmRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: a CSR finalizer (``drop``) can fire on this thread
+        # while it holds the lock, whenever an allocation inside
+        # ``lease``/``drop_all`` lets the garbage collector free an
+        # exported snapshot. A plain lock deadlocks the thread there.
+        self._lock = threading.RLock()
         self._exports: dict[tuple, SnapshotExport] = {}
         self._exports_total = 0
         self._unlinked_total = 0
@@ -239,7 +243,7 @@ class ShmRegistry:
         """Invalidate the export of ``csr`` and of its cached projection."""
         self.drop(export_key(csr))
         projection = getattr(csr, "_undirected", None)
-        if projection is not None and projection is not csr:
+        if projection is not None:
             self.drop(export_key(projection))
 
     def drop_all(self) -> None:

@@ -95,6 +95,44 @@ class TestLeaseRelease:
         assert export_a.refs == 0
         registry.drop_all()
 
+    def test_finalizer_firing_inside_lease_does_not_deadlock(self):
+        # An exported CSR freed while ``lease`` holds the registry lock
+        # runs its finalizer (``drop``) on the leasing thread. Run in a
+        # fresh interpreter, so a deadlock ends in os._exit (atexit
+        # finalizers would block on the held lock) and the stdlib's
+        # resource tracker sweeps the stranded segment.
+        script = (
+            "import os, threading\n"
+            "from repro.graphs.csr import CSRGraph\n"
+            "from repro.parallel import shm\n"
+            "registry = shm.ShmRegistry()\n"
+            "def arrays(csr):\n"
+            "    return {'out_indptr': csr.out_indptr}\n"
+            "doomed = [CSRGraph.from_edges([0, 1], [1, 2])]\n"
+            "registry.release(registry.lease(doomed[0], arrays(doomed[0]))[0])\n"
+            "real_segment = shm._ArraySegment\n"
+            "def segment(array, name):\n"
+            "    doomed.clear()  # its finalizer runs here, under the lock\n"
+            "    return real_segment(array, name)\n"
+            "shm._ArraySegment = segment\n"
+            "csr = CSRGraph.from_edges([0, 1, 2], [1, 2, 0])\n"
+            "def lease():\n"
+            "    registry.release(registry.lease(csr, arrays(csr))[0])\n"
+            "worker = threading.Thread(target=lease, daemon=True)\n"
+            "worker.start()\n"
+            "worker.join(timeout=10)\n"
+            "if worker.is_alive():\n"
+            "    print('deadlocked', flush=True)\n"
+            "    os._exit(1)\n"
+            "assert registry.stats()['live_exports'] == 1\n"
+            "registry.drop_all()\n"
+            "print('leased')\n"
+        )
+        result = _run_fresh_interpreter(script)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.strip() == "leased"
+        assert leaked_segments() == []
+
     def test_attached_views_are_readonly_and_equal(self):
         registry = shm_registry()
         csr = csr_snapshot(build_directed(EDGES))
